@@ -101,7 +101,7 @@ let run_cluster ?(domains = 1) ?(evloop = `Auto) ~crdt ~protocol ~n ~batch
         evloop;
       }
     in
-    R.serve ~equal:S.C.equal ~digest cfg ~ops:(fun ~tick state ->
+    R.serve ~digest cfg ~ops:(fun ~tick state ->
         S.serve_ops ~id ~tick state)
   in
   let workers =

@@ -644,7 +644,7 @@ let run_serve id listen peers crdt protocol ops_ticks tick_ms quiet_ticks
                 (Printf.sprintf "serve node=%d crdt=%s protocol=%s lockstep=%b"
                    id crdt protocol lockstep)
           | None -> ());
-          R.serve ?sink ?persist ?boot ~equal:S.C.equal ~digest cfg
+          R.serve ?sink ?persist ?boot ~digest cfg
             ~ops:(fun ~tick state -> S.serve_ops ~id ~tick state))
     in
     (match durable with

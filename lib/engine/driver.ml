@@ -12,7 +12,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     total : int;
     sink : Trace.sink;
     exact : bool;
-    changed : (P.crdt -> P.crdt -> bool) option;
     mutable node : P.node;
     mutable down : bool;
     mutable dirty : bool;
@@ -21,15 +20,14 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     mutable ops_applied : int;
   }
 
-  let create ?(sink = Trace.null) ?(exact_bytes = true) ?changed ~id
-      ~neighbors ~total () =
+  let create ?(sink = Trace.null) ?(exact_bytes = true) ~id ~neighbors ~total
+      () =
     {
       id;
       neighbors;
       total;
       sink;
       exact = exact_bytes;
-      changed;
       node = P.init ~id ~neighbors ~total;
       down = false;
       dirty = false;
@@ -98,20 +96,16 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       let prev = t.node in
       let node, replies = P.handle prev ~src msg in
       t.node <- node;
-      (match t.changed with
-      | Some changed ->
-          if
-            not (t.dirty && t.store_dirty)
-            && changed (P.state prev) (P.state node)
-          then begin
-            t.dirty <- true;
-            t.store_dirty <- true
-          end
-      | None ->
-          (* No comparator: persistence dedupes in the sink instead
-             (the delta against the last persisted image is bottom when
-             nothing inflated). *)
-          t.store_dirty <- true);
+      (* Identity is exact under the [P.handle] law (see [dirty] in
+         driver.mli).  Skipped while both bits are already set: some
+         protocols ([Sharded]) derive [P.state] on demand. *)
+      if
+        not (t.dirty && t.store_dirty)
+        && P.state node != P.state prev
+      then begin
+        t.dirty <- true;
+        t.store_dirty <- true
+      end;
       List.iter
         (fun (dest, m) ->
           send_event t ~round ~dest m;

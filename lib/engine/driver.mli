@@ -18,7 +18,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
   val create :
     ?sink:Trace.sink ->
     ?exact_bytes:bool ->
-    ?changed:(P.crdt -> P.crdt -> bool) ->
     id:int ->
     neighbors:int list ->
     total:int ->
@@ -26,19 +25,22 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
     t
   (** A fresh replica.  [exact_bytes] (default [true]) controls whether
       [Send]/[Recv] events carry exact framed wire sizes
-      ([P.message_wire_bytes]) or 0.  [changed] enables dirty tracking:
-      when provided, {!dirty} reports whether any delivery since the last
-      {!clear_dirty} changed the CRDT state per [changed old new] (used
-      by the socket runtime's quiescence detection; costs one state
-      comparison per delivery, so the simulator leaves it off). *)
+      ([P.message_wire_bytes]) or 0. *)
 
   val id : t -> int
   val state : t -> P.crdt
   val down : t -> bool
 
   val dirty : t -> bool
-  (** True when operations were applied or (under [changed]) a delivery
-      inflated the state since the last {!clear_dirty}. *)
+  (** True when, since the last {!clear_dirty}, operations were applied,
+      the replica recovered or restarted, or a delivery inflated the
+      state.  A delivery counts iff [P.state] after [P.handle] is
+      physically different from before: states are immutable, so an
+      inflation is always a new value, and the [P.handle] law (a
+      non-inflating message returns the state physically unchanged)
+      makes the test exact in O(1).  Protocols that derive their state
+      on demand only over-report.  The socket runtime's quiescence
+      detection reads this bit. *)
 
   val clear_dirty : t -> unit
 

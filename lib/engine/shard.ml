@@ -160,7 +160,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
   let lo t s = s * t.n / t.shards
   let hi t s = (s + 1) * t.n / t.shards
 
-  let create ?sink ?exact_bytes ?changed ~pool ~n ~neighbors () =
+  let create ?sink ?exact_bytes ~pool ~n ~neighbors () =
     if n < 1 then invalid_arg "Shard.create: n must be >= 1";
     let shards = Pool.size pool in
     let counters = Array.init shards (fun _ -> Trace.make_counters ()) in
@@ -183,7 +183,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     in
     let drivers =
       Array.init n (fun i ->
-          D.create ~sink:sinks.(shard_of.(i)) ?exact_bytes ?changed ~id:i
+          D.create ~sink:sinks.(shard_of.(i)) ?exact_bytes ~id:i
             ~neighbors:(neighbors i) ~total:n ())
     in
     {

@@ -47,7 +47,6 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) : sig
   val create :
     ?sink:Trace.sink ->
     ?exact_bytes:bool ->
-    ?changed:(P.crdt -> P.crdt -> bool) ->
     pool:Pool.t ->
     n:int ->
     neighbors:(int -> int list) ->

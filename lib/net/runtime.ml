@@ -65,13 +65,14 @@
 
     Replicas stop by mutual agreement rather than a wall clock.  A node
     is {e busy} while it still has operations to apply or its CRDT state
-    changed since the last tick (the driver's dirty bit, fed by a
-    state-equality check on every delivery); chatter alone — protocols
-    like state-based or scuttlebutt ship messages every interval forever
-    — does not count, which is what lets every registered protocol
-    terminate here.  After [quiet_ticks] consecutive non-busy ticks a
-    node broadcasts [Done] but keeps serving; it exits once it is quiet
-    {e and} has received [Done] from every peer.  Send failures after a
+    changed since the last tick (the driver's dirty bit: an O(1)
+    identity check per delivery, exact under the [PROTOCOL.handle]
+    law); chatter alone — protocols like state-based or scuttlebutt
+    ship messages every interval forever — does not count, which is
+    what lets every registered protocol terminate here.  After
+    [quiet_ticks] consecutive non-busy ticks a node broadcasts [Done]
+    but keeps serving; it exits once it is quiet {e and} has received
+    [Done] from every peer.  Send failures after a
     peer's [Done] are expected (the peer may already have exited) and
     ignored.  [max_ticks] bounds the run as a failsafe.
 
@@ -661,10 +662,11 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     pre
 
   (* One event-loop pass: accept new connections, read every readable
-     inbound connection into the frame buffer, drain outbound
-     connections whose fds turned writable, prune connections the peers
-     closed (unregistering their fds — the former leak: a closed
-     connection used to stay in the list and be selected forever), then
+     inbound connection into the frame buffer (unregistering the fd of
+     a connection the peer closed as soon as [recv] reports it), drain
+     outbound connections whose fds turned writable, prune the closed
+     connections (the former leak: a closed connection used to stay in
+     the list and be selected forever), then
      dispatch the collected frames in arrival order — predecoding
      message payloads on the pool first when [predecode] is set and the
      batch is worth the wake-up.  Returns whether any frame was
@@ -692,8 +694,15 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
                   List.iter (fun f -> Dynbuf.push st.frames (ib, f)) frames
               | Error `Closed ->
                   (* Peers close their dialed connections when they
-                     exit; drop the connection below. *)
-                  log st "inbound connection closed"
+                     exit; drop the connection below.  [recv] has
+                     already closed the fd, so unregister it now: an
+                     accept later in this pass may reuse the number,
+                     and would find (and keep) this stale interest
+                     while the kernel holds no registration for the
+                     new socket — a restarted peer's connection then
+                     sits unread forever. *)
+                  log st "inbound connection closed";
+                  Evloop.remove st.loop fd
               | Error (`Bad e) ->
                   failwith
                     ("framing error: " ^ Crdt_wire.Codec.error_to_string e))
@@ -707,13 +716,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
           (fun j conn -> if Conn.fd conn == fd then flush_peer st j conn)
           st.out)
       writable;
-    if List.exists (fun ib -> not (Conn.alive ib.conn)) st.inbound then begin
-      List.iter
-        (fun ib ->
-          if not (Conn.alive ib.conn) then Evloop.remove st.loop (Conn.fd ib.conn))
-        st.inbound;
-      st.inbound <- List.filter (fun ib -> Conn.alive ib.conn) st.inbound
-    end;
+    if List.exists (fun ib -> not (Conn.alive ib.conn)) st.inbound then
+      st.inbound <- List.filter (fun ib -> Conn.alive ib.conn) st.inbound;
     let progressed = not (Dynbuf.is_empty st.frames) in
     if progressed then begin
       let pre =
@@ -940,8 +944,10 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
 
       [ops ~tick state] lists the operations this replica applies at
       tick [tick] given its current state (consulted for ticks
-      [0 .. ops_ticks)).  [equal] feeds the driver's dirty tracking
-      (wall-clock quiescence); [digest] must be a canonical fingerprint
+      [0 .. ops_ticks)).  [equal] is accepted for compatibility with
+      existing callers and ignored: wall-clock quiescence reads the
+      driver's identity-based dirty bit ({!D.dirty}), which needs no
+      state comparison.  [digest] must be a canonical fingerprint
       of the CRDT state — equal states must digest equally across
       processes — and drives lockstep termination.  [sink] attaches a
       trace sink (e.g. a JSONL writer) on top of the runtime's internal
@@ -954,7 +960,7 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
       is rebuilt via [P.load] — volatile protocol state gone, recovery
       exchange armed — exactly the semantics of a process that died and
       came back from its data directory. *)
-  let serve ?sink ?persist ?boot ~(equal : P.crdt -> P.crdt -> bool)
+  let serve ?sink ?persist ?boot ?equal:(_ : (P.crdt -> P.crdt -> bool) option)
       ~(digest : P.crdt -> string) (cfg : config)
       ~(ops : tick:int -> P.crdt -> P.op list) : result =
     if cfg.domains < 1 then
@@ -983,9 +989,8 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     in
     let neighbors = List.map fst cfg.peers in
     let drv =
-      D.create ~sink ~exact_bytes:true
-        ~changed:(fun a b -> not (equal a b))
-        ~id:cfg.id ~neighbors ~total:cfg.total ()
+      D.create ~sink ~exact_bytes:true ~id:cfg.id ~neighbors
+        ~total:cfg.total ()
     in
     (match boot with Some s -> D.restart_from drv s | None -> ());
     (match persist with Some f -> D.set_persist drv f | None -> ());

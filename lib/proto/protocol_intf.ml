@@ -79,7 +79,15 @@ module type PROTOCOL = sig
 
   val handle : node -> src:int -> message -> node * (int * message) list
   (** Process a received message; may produce immediate replies (used by
-      the digest/reply exchange of Scuttlebutt). *)
+      the digest/reply exchange of Scuttlebutt).
+
+      Law: a message that does not inflate the CRDT state leaves it
+      {e physically} unchanged — [state n' == state n] for [handle n m =
+      (n', _)].  States are immutable, so an inflation always yields a
+      new value; with this law the driver tells "this delivery changed
+      the state" by identity in O(1), instead of comparing whole states.
+      Protocols that derive their state on demand (e.g. [Sharded]) only
+      over-report. *)
 
   val crash : node -> node
   (** The node fails: volatile protocol state (buffers, caches, session

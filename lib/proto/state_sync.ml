@@ -50,8 +50,11 @@ module Make (C : Protocol_intf.CRDT) :
     let cost = C.weight n.x * List.length n.neighbors in
     ({ n with work = n.work + cost }, msgs)
 
+  (* Keep [n.x] itself when [d] adds nothing (the {!PROTOCOL.handle}
+     law); the work charge is the join's either way. *)
   let handle n ~src:_ d =
-    ({ n with x = C.join n.x d; work = n.work + C.weight d }, [])
+    let x = if C.leq d n.x then n.x else C.join n.x d in
+    ({ n with x; work = n.work + C.weight d }, [])
 
   let state n = n.x
   let payload_weight d = C.weight d

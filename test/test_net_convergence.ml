@@ -14,8 +14,9 @@
    Done handshake terminating the processes.
 
    On top of plain convergence, two engine-level properties are pinned
-   here: Scuttlebutt — a protocol that never goes silent on its own —
-   terminates over sockets via the dirty-based quiescence handshake,
+   here: Scuttlebutt and state-based — protocols that never go silent
+   on their own — terminate over sockets via the dirty-based quiescence
+   handshake,
    and a `--lockstep` cluster reports exactly the wire bytes the
    in-process simulator predicts for the same seeded workload (the
    sim-vs-socket cross-check: both drivers run the identical registry
@@ -307,6 +308,82 @@ let kill_restart_test ~protocol () =
   Alcotest.(check bool) "victim booted from a non-empty segment log" true
     (scrape_int ~key:"segments" victim_metrics > 0)
 
+(* The root cause of the kill -9 flake above, pinned deterministically.
+   A restarted peer dials in while its predecessor's connection still
+   awaits its EOF: when one event-loop pass sees both, [recv] closes the
+   old fd and the accept that follows reuses its number.  The runtime
+   used to unregister the closed fd only at the end of the pass, so the
+   accept found the stale interest, never registered the new socket, and
+   the pass then removed it: the restarted peer's frames (its writes and
+   its Done) sat unread until --max-ticks.  The test plays peer 1 by
+   hand and freezes node 0 with SIGSTOP so that the old connection's EOF
+   and the new connection are queued for the same epoll wait; node 0
+   must read the new Hello + Done and stop by agreement. *)
+let same_pass_redial_test () =
+  if not (Crdt_net.Evloop_epoll.available ()) then Alcotest.skip ()
+  else begin
+    let exe = crdtsync () in
+    let dir = temp_dir () in
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let sock i = Filename.concat dir (Printf.sprintf "n%d.sock" i) in
+    let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close listener) @@ fun () ->
+    Unix.bind listener (Unix.ADDR_UNIX (sock 1));
+    Unix.listen listener 4;
+    let argv =
+      [|
+        exe; "serve"; "--id"; "0"; "--listen"; "unix:" ^ sock 0;
+        "--peer"; "1=unix:" ^ sock 1; "--crdt"; "gset"; "--ops"; "0";
+        "--tick-ms"; "10"; "--max-ticks"; "500"; "--evloop"; "epoll";
+      |]
+    in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid = Unix.create_process exe argv Unix.stdin devnull Unix.stderr in
+    Unix.close devnull;
+    (* Reaped by [wait_all] on success; never leave it stopped or
+       running when an assertion fails first. *)
+    Fun.protect ~finally:(fun () ->
+        try
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid)
+        with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    (* Node 0 listens before it dials, so once its dial is accepted its
+       listener is up. *)
+    let from_node, _ = Unix.accept listener in
+    let dial_as_peer_1 frames =
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX (sock 0));
+      let conn = Crdt_net.Conn.create fd in
+      List.iter
+        (fun kind ->
+          match
+            Crdt_net.Conn.send conn ~kind
+              (Crdt_wire.Codec.encode_to_string Crdt_wire.Codec.varint 1)
+          with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "send to node 0: %s" e)
+        frames;
+      conn
+    in
+    let kind_hello = 0 and kind_done = 2 in
+    let old_conn = dial_as_peer_1 [ kind_hello ] in
+    (* Let node 0 accept the first connection and read its Hello. *)
+    Unix.sleepf 0.3;
+    Unix.kill pid Sys.sigstop;
+    (match Unix.waitpid [ Unix.WUNTRACED ] pid with
+    | _, Unix.WSTOPPED _ -> ()
+    | _, st -> Alcotest.failf "node 0 did not stop: %s" (status_to_string st));
+    Crdt_net.Conn.close old_conn;
+    let new_conn = dial_as_peer_1 [ kind_hello; kind_done ] in
+    Unix.kill pid Sys.sigcont;
+    Fun.protect
+      ~finally:(fun () ->
+        Crdt_net.Conn.close new_conn;
+        Unix.close from_node)
+      (fun () -> wait_all ~timeout_s:30. [ pid ])
+  end
+
 let gset_test () =
   let n = 4 and ops = 10 in
   let encodings, _ = run_cluster ~crdt:"gset" ~n ~ops () in
@@ -333,15 +410,17 @@ let gmap_test () =
       Alcotest.(check int) "one live key per op tick" ops
         (Gmap.Versioned.weight m)
 
-(* Scuttlebutt gossips digests forever when left alone — before the
-   dirty-based quiescence handshake, a serve cluster running it would
-   spin until --max-ticks.  Its convergence over real sockets is the
-   evidence that serve now accepts every registered protocol. *)
-let scuttlebutt_test () =
+(* Protocols whose chatter never stops on its own: Scuttlebutt gossips
+   digests and state-based re-ships the full state every tick.  Before
+   the dirty-based quiescence handshake a serve cluster running them
+   would spin until --max-ticks; now it terminates only because a
+   converged replica's deliveries leave its dirty bit clear (the
+   PROTOCOL.handle identity law).  [wait_all] fails any replica that
+   exits non-zero, and serve exits 0 only on [Agreement] — not on the
+   --max-ticks or wall-clock failsafes. *)
+let chatty_test ~protocol () =
   let n = 3 and ops = 8 in
-  let encodings, _ =
-    run_cluster ~protocol:"scuttlebutt" ~crdt:"gset" ~n ~ops ()
-  in
+  let encodings, _ = run_cluster ~protocol ~crdt:"gset" ~n ~ops () in
   Alcotest.(check bool)
     "all replicas encode byte-identically" true (all_identical encodings);
   match Codec.decode_string Gset.Of_int.codec (List.hd encodings) with
@@ -452,7 +531,8 @@ let () =
           Alcotest.test_case "3 GMap replicas converge over sockets" `Quick
             gmap_test;
           Alcotest.test_case "3 Scuttlebutt replicas converge over sockets"
-            `Quick scuttlebutt_test;
+            `Quick
+            (chatty_test ~protocol:"scuttlebutt");
           Alcotest.test_case "4 GSet replicas converge with --no-batch" `Quick
             (fun () ->
               let encodings, _ =
@@ -461,6 +541,9 @@ let () =
               Alcotest.(check bool)
                 "all replicas encode byte-identically" true
                 (all_identical encodings));
+          Alcotest.test_case "3 state-based GSet replicas agree and stop"
+            `Quick
+            (chatty_test ~protocol:"state-based");
         ] );
       ( "sim-vs-socket wire bytes",
         [
@@ -503,5 +586,8 @@ let () =
           Alcotest.test_case
             "conflict-sync survives SIGKILL + restart from --data-dir" `Quick
             (kill_restart_test ~protocol:"conflict-sync");
+          Alcotest.test_case
+            "a redial sharing a pass with the old EOF is still read" `Quick
+            same_pass_redial_test;
         ] );
     ]

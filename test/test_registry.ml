@@ -133,7 +133,8 @@ let smoke_cell (spec : Registry.crdt_spec) (maker : Registry.proto) =
   check "cell moved messages" true (counters.Trace.messages > 0);
   check "cell delivered" true (counters.Trace.delivered > 0)
 
-let exhaustive =
+(* One [`Quick] test per non-excluded protocol × CRDT cell. *)
+let per_cell run =
   List.concat_map
     (fun spec ->
       let module S = (val spec : Registry.CRDT_SPEC) in
@@ -147,9 +148,70 @@ let exhaustive =
                 (Alcotest.test_case
                    (Printf.sprintf "%s × %s" proto S.name)
                    `Quick
-                   (fun () -> smoke_cell spec maker)))
+                   (fun () -> run spec maker)))
         Registry.protocols)
     Registry.crdts
+
+let exhaustive = per_cell smoke_cell
+
+(* -- the PROTOCOL.handle law, registry-wide ----------------------------- *)
+
+(* One cell: three fully connected Drivers run the serve workload for
+   [op_rounds], then [quiet_rounds] without operations, which converges
+   every protocol.  From there on a delivery must never inflate the
+   state, so under the handle law (a non-inflating message returns the
+   state physically unchanged) [chatter_rounds] more rounds leave every
+   Driver clean — the liveness half of served quiescence. *)
+let quiescence_cell (spec : Registry.crdt_spec) (maker : Registry.proto) =
+  let module S = (val spec) in
+  let module P =
+    (val Registry.instantiate maker
+           (module S.C : Crdt_proto.Protocol_intf.CRDT
+             with type t = S.C.t
+              and type op = S.C.op))
+  in
+  let module D = Crdt_engine.Driver.Make (P) in
+  let n = 3 and op_rounds = 10 and quiet_rounds = 50 and chatter_rounds = 20 in
+  let drivers =
+    Array.init n (fun id ->
+        D.create ~id
+          ~neighbors:(List.filter (( <> ) id) (List.init n Fun.id))
+          ~total:n ())
+  in
+  let inbox = Queue.create () in
+  let emit src ~dest msg = Queue.add (src, dest, msg) inbox in
+  let round r =
+    if r < op_rounds then
+      Array.iteri
+        (fun id d -> ignore (D.apply d (S.serve_ops ~id ~tick:r (D.state d))))
+        drivers;
+    Array.iteri (fun i d -> D.tick d ~round:r ~emit:(emit i)) drivers;
+    (* Deliver replies in the same round until the network drains. *)
+    while not (Queue.is_empty inbox) do
+      let src, dest, msg = Queue.pop inbox in
+      D.deliver drivers.(dest) ~round:r ~src ~emit:(emit dest) msg
+    done
+  in
+  let settled = op_rounds + quiet_rounds in
+  for r = 0 to settled - 1 do
+    round r
+  done;
+  Array.iter
+    (fun d ->
+      check "converged" true (S.C.equal (D.state d) (D.state drivers.(0))))
+    drivers;
+  Array.iter D.clear_dirty drivers;
+  for r = settled to settled + chatter_rounds - 1 do
+    round r;
+    Array.iter
+      (fun d ->
+        if D.dirty d then
+          Alcotest.failf "round %d: replica %d turned dirty after convergence" r
+            (D.id d))
+      drivers
+  done
+
+let quiescence = per_cell quiescence_cell
 
 let exclusions =
   [
@@ -224,9 +286,8 @@ let driver =
                     and type op = Gc.op))
         in
         let module D = Crdt_engine.Driver.Make (P) in
-        let changed a b = not (Gc.equal a b) in
         let a = D.create ~id:0 ~neighbors:[ 1 ] ~total:2 () in
-        let b = D.create ~changed ~id:1 ~neighbors:[ 0 ] ~total:2 () in
+        let b = D.create ~id:1 ~neighbors:[ 0 ] ~total:2 () in
         ignore (D.apply a [ Gc.Inc 5 ]);
         let inbox = Queue.create () in
         D.tick a ~round:0 ~emit:(fun ~dest:_ msg -> Queue.add msg inbox);
@@ -410,6 +471,7 @@ let () =
     [
       ("registry surface", surface);
       ("protocol × CRDT exhaustiveness", exhaustive);
+      ("quiescence law", quiescence);
       ("exclusions", exclusions);
       ("driver", driver);
       ("trace", trace);
