@@ -43,6 +43,19 @@ end = struct
   let decompose s = S.fold (fun e acc -> S.singleton e :: acc) s []
   let fold_decompose f s acc = S.fold (fun e acc -> f (S.singleton e) acc) s acc
 
+  (* Domination is not local to [d]'s elements, so diff against the
+     join: elements of [s] that did not survive leave, elements of [d]
+     that are new and survived arrive. *)
+  let fold_changed f s d acc =
+    let j = join s d in
+    let acc =
+      S.fold (fun e acc -> if S.mem e j then acc else f (S.singleton e) acc) s acc
+    in
+    S.fold
+      (fun e acc ->
+        if S.mem e s || not (S.mem e j) then acc else f (S.singleton e) acc)
+      d acc
+
   (* {e} ⊑ b iff some element of [b] dominates [e]; the survivors of [a]
      are pairwise incomparable already, so their join is the plain set of
      survivors — no re-maximalization needed. *)

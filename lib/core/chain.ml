@@ -32,6 +32,11 @@ module Make_max (O : ORDERED_WITH_BOTTOM) :
   let decompose x = if is_bottom x then [] else [ x ]
   let fold_decompose f x acc = if is_bottom x then acc else f x acc
 
+  (* ⇓x ⊔ d is {max x d}: nothing changes unless [d] climbs above [x],
+     in which case [x] (if any) leaves and [d] arrives. *)
+  let fold_changed f x d acc =
+    if leq d x then acc else f d (fold_decompose f x acc)
+
   (* Every non-⊥ element of a chain is irreducible, so Δ(a,b) is either
      all of [a] or nothing. *)
   let delta a b = if leq a b then bottom else a

@@ -73,6 +73,22 @@ module type DECOMPOSABLE = sig
       [fold_decompose f x acc] visits exactly the elements of
       [decompose x] (in an unspecified order). *)
 
+  val fold_changed : (t -> 'a -> 'a) -> t -> t -> 'a -> 'a
+  (** [fold_changed f x d acc] folds [f] over the irreducibles that the
+      inflation [x → x ⊔ d] changes: the symmetric difference
+      [⇓x △ ⇓(x ⊔ d)], each element visited exactly once (in an
+      unspecified order) — the irreducibles of [x] that [d] dominates
+      and the irreducibles of [x ⊔ d] that [x] lacks.  Law: the visited
+      elements are, up to {!compare}, exactly those of [decompose x]
+      absent from [decompose (join x d)] plus those of
+      [decompose (join x d)] absent from [decompose x]; in particular
+      [fold_changed f x d acc = acc] whenever [d ⊑ x].  Computed
+      structurally: the walk follows [d] with lookups into [x], so it
+      costs O(|d|) lookups rather than O(|x|), except where [d] replaces
+      a whole component of [x] (a larger lexicographic guard, a
+      linear-sum side switch) and in antichains, which diff against the
+      join.  It lets a digest of [⇓x] be maintained incrementally. *)
+
   val delta : t -> t -> t
   (** [delta a b] is the optimal delta
       [Δ(a,b) = ⊔ \{ y ∈ ⇓a | y ⋢ b \}] of Section III-B, computed

@@ -52,6 +52,21 @@ module Make (C : Lattice_intf.CHAIN) (A : Lattice_intf.DECOMPOSABLE) :
     else if A.is_bottom a then f (c, A.bottom) acc
     else A.fold_decompose (fun d acc -> f (c, d) acc) a acc
 
+  (* A smaller guard in [d] changes nothing and a larger one replaces all
+     of ⇓x by ⇓d.  Equal guards recurse into [A] — plus the bare
+     irreducible ⟨c,⊥⟩, which leaves once [d] makes the payload non-⊥. *)
+  let fold_changed f ((c, a) as x) ((cd, ad) as d) acc =
+    match C.compare cd c with
+    | 0 ->
+        let acc =
+          if (not (C.is_bottom c)) && A.is_bottom a && not (A.is_bottom ad)
+          then f (c, A.bottom) acc
+          else acc
+        in
+        A.fold_changed (fun y acc -> f (c, y) acc) a ad acc
+    | n when n > 0 -> fold_decompose f d (fold_decompose f x acc)
+    | _ -> acc
+
   (* Every irreducible of ⟨c,a⟩ carries the same guard [c], so ⊑ against
      ⟨c',a'⟩ is decided once by the chain comparison: a smaller guard is
      wholly dominated, a larger one wholly kept, equal guards recurse. *)

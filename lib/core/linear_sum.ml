@@ -67,6 +67,21 @@ end = struct
         if B.is_bottom b then f (Right B.bottom) acc
         else B.fold_decompose (fun d acc -> f (Right d) acc) b acc
 
+  (* Within a side the side's own rule applies ([Right ⊥] leaves once the
+     payload becomes non-⊥); a [Right] over a [Left] replaces all of ⇓x;
+     a [Left] over a [Right] changes nothing. *)
+  let fold_changed f x d acc =
+    match (x, d) with
+    | Left a, Left ad -> A.fold_changed (fun y acc -> f (Left y) acc) a ad acc
+    | Left _, Right _ -> fold_decompose f d (fold_decompose f x acc)
+    | Right _, Left _ -> acc
+    | Right b, Right bd ->
+        let acc =
+          if B.is_bottom b && not (B.is_bottom bd) then f (Right B.bottom) acc
+          else acc
+        in
+        B.fold_changed (fun y acc -> f (Right y) acc) b bd acc
+
   (* Sides never mix: anything [Left] is dominated by anything [Right],
      and a [Right] is never dominated by a [Left]. *)
   let delta x y =

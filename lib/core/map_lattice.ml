@@ -132,36 +132,29 @@ end = struct
   let equal t1 t2 = t1.m == t2.m || (t1.w = t2.w && M.equal V.equal t1.m t2.m)
   let compare t1 t2 = M.compare V.compare t1.m t2.m
 
+  (* The irreducible {k ↦ d} for a non-⊥ irreducible [d] of the value
+     lattice. *)
+  let irreducible k d =
+    { m = M.singleton k d; c = 1; w = V.weight d; b = K.byte_size k + V.byte_size d }
+
   let decompose t =
     M.fold
       (fun k v acc ->
-        List.fold_left
-          (fun acc d ->
-            {
-              m = M.singleton k d;
-              c = 1;
-              w = V.weight d;
-              b = K.byte_size k + V.byte_size d;
-            }
-            :: acc)
-          acc (V.decompose v))
+        List.fold_left (fun acc d -> irreducible k d :: acc) acc (V.decompose v))
       t.m []
 
   let fold_decompose f t acc =
     M.fold
-      (fun k v acc ->
-        V.fold_decompose
-          (fun d acc ->
-            f
-              {
-                m = M.singleton k d;
-                c = 1;
-                w = V.weight d;
-                b = K.byte_size k + V.byte_size d;
-              }
-              acc)
-          v acc)
+      (fun k v acc -> V.fold_decompose (fun d acc -> f (irreducible k d) acc) v acc)
       t.m acc
+
+  (* Join is pointwise, so only [d]'s keys can change: each recurses into
+     the value lattice against the local binding (⊥ when absent). *)
+  let fold_changed f t d acc =
+    M.fold
+      (fun k dv acc ->
+        V.fold_changed (fun y acc -> f (irreducible k y) acc) (find k t) dv acc)
+      d.m acc
 
   (* Δ is pointwise: keys only in [m1] survive whole, shared keys recurse
      into the value lattice, keys only in [m2] contribute nothing.  Like

@@ -43,6 +43,11 @@ end = struct
   let decompose s = S.fold (fun e acc -> S.singleton e :: acc) s []
   let fold_decompose f s acc = S.fold (fun e acc -> f (S.singleton e) acc) s acc
 
+  (* Union never dominates a singleton, so only [d]'s new elements
+     change ⇓x — they arrive, nothing leaves. *)
+  let fold_changed f s d acc =
+    S.fold (fun e acc -> if S.mem e s then acc else f (S.singleton e) acc) d acc
+
   (* The irreducibles of a powerset are the singletons, so Δ is exactly
      set difference — no singleton allocation at all. *)
   let delta = S.diff

@@ -32,6 +32,13 @@ module Make (A : Lattice_intf.DECOMPOSABLE) (B : Lattice_intf.DECOMPOSABLE) :
       b
       (A.fold_decompose (fun x acc -> f (x, B.bottom) acc) a acc)
 
+  (* Irreducibles stay in their component, so changes are componentwise. *)
+  let fold_changed f (a, b) (da, db) acc =
+    B.fold_changed
+      (fun y acc -> f (A.bottom, y) acc)
+      b db
+      (A.fold_changed (fun x acc -> f (x, B.bottom) acc) a da acc)
+
   (* Each irreducible lives in exactly one component, so Δ splits
      componentwise. *)
   let delta (a1, b1) (a2, b2) = (A.delta a1 a2, B.delta b1 b2)

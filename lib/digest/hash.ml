@@ -57,7 +57,11 @@ let derive ~salt h =
 
 (* Order-independent digest of a set of keys: xor of mixed keys.  The
    mix step stops structured key sets (e.g. consecutive ints) from
-   cancelling. *)
+   cancelling.  Being an xor, [combine] also undoes itself per key —
+   [combine (combine acc k) k = acc] — so folding it over the keys that
+   leave a set and the keys that arrive turns the old set's digest into
+   the new one's.  Conflict-sync's incremental state digest relies on
+   both properties. *)
 let combine acc key = acc lxor mix key
 
 (* Deterministic key-seeded PRNG (splitmix64 sequence) — drives the

@@ -152,6 +152,8 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
     self : int;
     neighbors : int list;
     x : C.t;  (** durable. *)
+    digest : int;
+        (** commutative hash of ⇓x, kept in step with [x] by {!inflate}. *)
     now : int;  (** tick counter; everything below is volatile. *)
     next_sid : int;
     pending : C.t;  (** running join of the δ-buffer. *)
@@ -165,7 +167,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
             waiting for a quiet-link streak. *)
     init_s : isession Imap.t;  (** peer ↦ session we initiated. *)
     resp_s : rsession Imap.t;  (** peer ↦ session we respond to. *)
-    dcache : (C.t * int) option;  (** state digest memo, keyed by ==. *)
     work : int;
   }
 
@@ -218,6 +219,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       self = id;
       neighbors;
       x = C.bottom;
+      digest = 0;
       now = 0;
       next_sid = sid_base id;
       pending = C.bottom;
@@ -228,7 +230,6 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       escalated = Iset.empty;
       init_s = Imap.empty;
       resp_s = Imap.empty;
-      dcache = None;
       work = 0;
     }
 
@@ -245,26 +246,28 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
       escalated = Iset.empty;
       init_s = Imap.empty;
       resp_s = Imap.empty;
-      dcache = None;
     }
 
   let recover n = { n with resync = Iset.of_list n.neighbors }
 
+  (* Every write to [x] goes through here.  The digest of ⇓x is
+     maintained incrementally: [Hash.combine] is an xor of mixed keys, so
+     it is order-independent and undoes itself per key, and folding it
+     over ⇓x △ ⇓(x ⊔ d) — irreducibles [d] dominates leave, new ones
+     arrive, both by the same call — turns the digest of ⇓x into that of
+     ⇓(x ⊔ d).  Work is the number of irreducibles visited. *)
+  let inflate n d =
+    let digest, visited =
+      C.fold_changed
+        (fun y (h, k) -> (Hash.combine h (key_of y), k + 1))
+        n.x d (n.digest, 0)
+    in
+    { n with x = C.join n.x d; digest; work = n.work + visited }
+
   (* Restart-from-disk: the digest session machinery only ever compares
      states, so installing the recovered state and arming a resync with
-     every neighbor is the whole story (the digest cache keys on
-     physical state identity and self-invalidates). *)
-  let load n s = recover { n with x = C.join n.x s }
-
-  (* Commutative digest of ⇓x, memoized on the physical state — ticks
-     between changes pay one pointer compare, not a decomposition. *)
-  let state_digest n =
-    match n.dcache with
-    | Some (x0, h) when x0 == n.x -> (h, n)
-    | _ ->
-        let h = C.fold_decompose (fun y acc -> Hash.combine acc (key_of y)) n.x 0 in
-        let n = { n with dcache = Some (n.x, h); work = n.work + C.weight n.x } in
-        (h, n)
+     every neighbor is the whole story. *)
+  let load n s = recover (inflate n s)
 
   let snapshot_table x =
     let table = Hashtbl.create 64 in
@@ -283,9 +286,9 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
 
   (* δ-buffer store, BP+RR as in Delta_sync. *)
   let store n delta origin =
+    let n = inflate n delta in
     {
       n with
-      x = C.join n.x delta;
       groups =
         Imap.update origin
           (function None -> Some delta | Some g -> Some (C.join g delta))
@@ -409,8 +412,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         0 delta_msgs
     in
     (* Constant-size divergence probe to every neighbor, every tick. *)
-    let h, n = state_digest n in
-    let digest_msgs = List.map (fun j -> (j, Digest { h })) n.neighbors in
+    let digest_msgs = List.map (fun j -> (j, Digest { h = n.digest })) n.neighbors in
     let n =
       {
         n with
@@ -475,8 +477,7 @@ module Make (C : Protocol_intf.CRDT) (Cfg : CONFIG) :
         in
         (absorb n ~src group, [])
     | Digest { h } ->
-        let mine, n = state_digest n in
-        if mine = h then
+        if n.digest = h then
           ( {
               n with
               streak = Imap.remove src n.streak;

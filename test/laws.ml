@@ -164,6 +164,20 @@ struct
         List.length streamed = List.length listed
         && List.for_all2 L.equal streamed listed)
 
+  let fold_changed_is_symmetric_difference =
+    test "fold_changed enumerates exactly ⇓x △ ⇓(x ⊔ d)" pair (fun (x, d) ->
+        let sorted l = List.sort L.compare l in
+        let before = L.decompose x and after = L.decompose (L.join x d) in
+        let absent_from l y = not (List.exists (fun z -> L.compare y z = 0) l) in
+        let expected =
+          sorted
+            (List.filter (absent_from after) before
+            @ List.filter (absent_from before) after)
+        in
+        let changed = sorted (L.fold_changed List.cons x d []) in
+        List.length changed = List.length expected
+        && List.for_all2 (fun a b -> L.compare a b = 0) changed expected)
+
   let suite =
     [
       join_commutative;
@@ -197,5 +211,6 @@ struct
       structural_delta_correct;
       structural_delta_minimal;
       fold_decompose_agrees;
+      fold_changed_is_symmetric_difference;
     ]
 end

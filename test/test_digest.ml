@@ -55,6 +55,26 @@ let hash_tests =
         check_int "shuffled fold agrees" (fold keys) (fold shuffled);
         check "digest distinguishes sets" true
           (fold keys <> fold (List.tl keys)));
+    Alcotest.test_case "combine undoes itself per key" `Quick (fun () ->
+        (* combine (combine acc k) k = acc: an irreducible that leaves ⇓x
+           is removed from a running digest by the same call that added
+           it, which the incremental conflict-sync digest relies on. *)
+        let keys = List.init 100 (fun i -> Hash.of_string (string_of_int i)) in
+        let fold acc ks = List.fold_left Hash.combine acc ks in
+        List.iter
+          (fun acc ->
+            List.iter
+              (fun k ->
+                check_int "self-inverse" acc (Hash.combine (Hash.combine acc k) k))
+              keys)
+          [ 0; 1; fold 0 keys ];
+        let base = fold 0 keys in
+        let add = List.init 10 (fun i -> Hash.of_string ("new" ^ string_of_int i)) in
+        let gone = List.filteri (fun i _ -> i mod 7 = 0) keys in
+        let kept = List.filter (fun k -> not (List.mem k gone)) keys in
+        check_int "leaving and arriving keys fold by the same call"
+          (fold 0 (kept @ add))
+          (fold base (gone @ add)));
   ]
 
 (* ------------------------------------------------------------------ *)
