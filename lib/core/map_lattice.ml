@@ -17,7 +17,14 @@
     simulator's per-message accounting and per-round memory-snapshot hot
     paths, where the former fold-the-whole-map cost dominated profiles.
     When the value lattice itself caches its sizes (e.g. nested maps),
-    the per-collision correction stays O(1) too. *)
+    the per-collision correction stays O(1) too.
+
+    {b Representation.}  The bindings live in a {!Ptree} — our own AVL
+    tree, whose nodes are visible to this module — rather than
+    [Stdlib.Map].  Updates ([set], [join]) copy only the paths to the
+    keys they change, so a state and its own earlier image share every
+    other subtree, and [delta] between them skips the shared subtrees
+    instead of looking up every key (see [delta] below). *)
 
 module type KEY = sig
   type t
@@ -53,7 +60,7 @@ module Make (K : KEY) (V : Lattice_intf.DECOMPOSABLE) : sig
   val fold : (K.t -> V.t -> 'a -> 'a) -> t -> 'a -> 'a
   val of_list : (K.t * V.t) list -> t
 end = struct
-  module M = Map.Make (K)
+  module M = Ptree.Make (K)
 
   type t = {
     m : V.t M.t;
@@ -71,21 +78,24 @@ end = struct
     (* Start from the disjoint sum and subtract the overlap: the union
        callback runs exactly on the collided keys, where the key and the
        two value sizes were each counted twice. *)
-    let c = ref (t1.c + t2.c) in
-    let w = ref (t1.w + t2.w) and b = ref (t1.b + t2.b) in
-    let m =
-      M.union
-        (fun k v1 v2 ->
-          let v = V.join v1 v2 in
-          decr c;
-          w := !w - V.weight v1 - V.weight v2 + V.weight v;
-          b :=
-            !b - K.byte_size k - V.byte_size v1 - V.byte_size v2
-            + V.byte_size v;
-          Some v)
-        t1.m t2.m
-    in
-    { m; c = !c; w = !w; b = !b }
+    if t1.m == t2.m then t1
+    else
+      let c = ref (t1.c + t2.c) in
+      let w = ref (t1.w + t2.w) and b = ref (t1.b + t2.b) in
+      let m =
+        M.union
+          (fun k v1 v2 ->
+            let v = V.join v1 v2 in
+            decr c;
+            w := !w - V.weight v1 - V.weight v2 + V.weight v;
+            b :=
+              !b - K.byte_size k - V.byte_size v1 - V.byte_size v2
+              + V.byte_size v;
+            v)
+          t1.m t2.m
+      in
+      (* The tree comes back physically when [t2] added nothing. *)
+      if m == t1.m then t1 else { m; c = !c; w = !w; b = !b }
 
   let find k t = match M.find_opt k t.m with Some v -> v | None -> V.bottom
 
@@ -156,13 +166,38 @@ end = struct
         V.fold_changed (fun y acc -> f (irreducible k y) acc) (find k t) dv acc)
       d.m acc
 
+  (* The cached sizes of a freshly built tree. *)
+  let of_tree m =
+    match m with
+    | M.Empty -> bottom
+    | M.Node _ ->
+        let c = ref 0 and w = ref 0 and b = ref 0 in
+        M.fold
+          (fun k v () ->
+            incr c;
+            w := !w + V.weight v;
+            b := !b + K.byte_size k + V.byte_size v)
+          m ();
+        { m; c = !c; w = !w; b = !b }
+
   (* Δ is pointwise: keys only in [m1] survive whole, shared keys recurse
-     into the value lattice, keys only in [m2] contribute nothing.  Like
-     [leq], this walks only [m1] with lookups into [m2] — the common call
-     is Δ(small received δ-group, large local state), where a
-     simultaneous merge walk would traverse the whole state per
-     message. *)
-  let delta t1 t2 =
+     into the value lattice, keys only in [m2] contribute nothing.  The
+     walk is picked by the cached cardinals, at the same threshold as
+     [leq]:
+
+     - a small [m1] against a large [m2] — Δ(received δ-group, local
+       state) — walks only [m1] with lookups into [m2];
+     - comparable sizes go through [M.diff], which returns nothing for
+       the subtrees the two trees share physically without walking
+       them.  The persist sink's Δ(xₜ, xₜ₋₁) is this shape: [xₜ] is
+       [xₜ₋₁] with a tick's updates, so the diff costs
+       O(changes · log n) instead of one lookup per key of the state.
+       The sizes are then summed over the (small) result.  On trees
+       that share nothing the diff still beats the lookup walk at these
+       sizes, since it builds its result by [join] rather than one
+       [add] per kept key (46 µs against 209 µs for two unrelated
+       1,000-key trees on a 2-vCPU VM). *)
+  let delta_lookup t1 t2 =
     M.fold
       (fun k v1 acc ->
         let keep d =
@@ -180,11 +215,25 @@ end = struct
             if V.is_bottom d then acc else keep d)
       t1.m bottom
 
-  (* Note: a Δ-based join ([a ⊔ b = b ⊔ Δ(a,b)], extracting the smaller
-     operand's strictly-new part before a small-vs-big union) measured
-     {e slower} than the plain union on the anti-entropy shapes it
-     targets — the stdlib union is already subtree-sharing and
-     split-based, so the extra lookup walk never pays for itself. *)
+  let delta_entry _ v1 v2 =
+    if v1 == v2 then None
+    else
+      let d = V.delta v1 v2 in
+      if V.is_bottom d then None else Some d
+
+  let delta t1 t2 =
+    if 8 * t1.c <= t2.c then delta_lookup t1 t2
+    else
+      let m = M.diff delta_entry t1.m t2.m in
+      if m == t1.m then t1 else of_tree m
+
+  (* Join is the plain union: a Δ-based join (b ⊔ Δ(a,b)) measured
+     slower than it.  The representation moved off [Stdlib.Map] for Δ,
+     not for join: [Stdlib.Map] cannot diff a state against its own
+     earlier image without a lookup per key, and on the durable served
+     workload (1,024 keys, a few dozen changed per tick) the persist
+     sink's Δ took about 130 µs per tick — 51 ms of traced Δ time per
+     sample, against 13.5 ms with the sharing-aware diff. *)
   let join = join_union
 
   let pp ppf t =
@@ -221,12 +270,15 @@ end = struct
       | None -> t
       | Some _ -> { m = M.remove k t.m; c = t.c - 1; w; b }
     else
-      {
-        m = M.add k v t.m;
-        c = (if old = None then t.c + 1 else t.c);
-        w = w + V.weight v;
-        b = b + K.byte_size k + V.byte_size v;
-      }
+      let m = M.add k v t.m in
+      if m == t.m then t
+      else
+        {
+          m;
+          c = (if old = None then t.c + 1 else t.c);
+          w = w + V.weight v;
+          b = b + K.byte_size k + V.byte_size v;
+        }
 
   let join_entry k v t = join t (singleton k v)
   let cardinal t = t.c
@@ -235,11 +287,38 @@ end = struct
   let fold f t acc = M.fold f t.m acc
   let of_list l = List.fold_left (fun t (k, v) -> set k v t) bottom l
 
-  (* Encoded as the sorted binding list.  Decoding goes through
-     [of_list]/[set], which rebuilds the cached sizes and drops any
-     ⊥-bound key, so the no-⊥-binding invariant holds even for corrupt
-     input that encodes a bottom value. *)
+  (* Encoded as the sorted binding list.  An honest encoding — keys
+     strictly ascending, no ⊥ value — is built into a balanced tree in
+     O(n).  Anything else goes through [of_list]/[set], which rebuilds
+     the cached sizes, drops any ⊥-bound key and lets the last of
+     duplicate keys win, so the no-⊥-binding invariant holds even for
+     corrupt input. *)
+  let of_bindings l =
+    let rec canonical k = function
+      | [] -> true
+      | (k', v) :: rest ->
+          K.compare k k' < 0 && (not (V.is_bottom v)) && canonical k' rest
+    in
+    match l with
+    | (k, v) :: rest when (not (V.is_bottom v)) && canonical k rest ->
+        of_tree (M.of_sorted l)
+    | _ -> of_list l
+
+  (* The writer walks the tree straight into the buffer — the bytes of
+     [list (pair K.codec V.codec)] over [bindings], without building the
+     list. *)
   let codec =
-    Crdt_wire.Codec.conv bindings of_list
-      (Crdt_wire.Codec.list (Crdt_wire.Codec.pair K.codec V.codec))
+    let open Crdt_wire.Codec in
+    let wire = list (pair K.codec V.codec) in
+    {
+      write =
+        (fun buf t ->
+          write_varint buf t.c;
+          M.fold
+            (fun k v () ->
+              write K.codec buf k;
+              write V.codec buf v)
+            t.m ());
+      read = (fun r -> Result.map of_bindings (read wire r));
+    }
 end

@@ -24,15 +24,30 @@ let to_key i64 =
 
 let of_string s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
+  to_key !h
+
+let of_buffer buf =
+  let h = ref fnv_offset in
+  for i = 0 to Buffer.length buf - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth buf i))))
+        fnv_prime
+  done;
   to_key !h
 
 (* The canonical irreducible hash: encode through the lattice codec,
-   FNV-1a the bytes. *)
-let of_value codec v = of_string (Crdt_wire.Codec.encode_to_string codec v)
+   FNV-1a the bytes — [of_string (encode_to_string codec v)], computed
+   in the codec's per-domain scratch buffer without building the
+   string.  Like {!Crdt_wire.Codec.encoded_size} it is not re-entrant
+   (no codec [write] hashes). *)
+let of_value codec v = Crdt_wire.Codec.with_scratch codec v of_buffer
 
 (* splitmix64 finalizer: cheap avalanche for deriving independent hash
    functions (Bloom double-hashing, IBLT check hashes, index streams)

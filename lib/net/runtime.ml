@@ -676,13 +676,18 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     List.iter
       (fun fd ->
         if fd == st.listener then begin
-          let peer_fd, _ = Unix.accept st.listener in
-          (match st.cfg.listen with
-          | Addr.Tcp _ -> Unix.setsockopt peer_fd Unix.TCP_NODELAY true
-          | Addr.Unix_sock _ -> ());
-          let conn = Conn.create peer_fd in
-          Evloop.add st.loop ~read:true (Conn.fd conn);
-          st.inbound <- { conn; peer = ref None; marks = 0 } :: st.inbound
+          match Unix.accept st.listener with
+          | exception
+              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+            ->
+              ()
+          | peer_fd, _ ->
+              (match st.cfg.listen with
+              | Addr.Tcp _ -> Unix.setsockopt peer_fd Unix.TCP_NODELAY true
+              | Addr.Unix_sock _ -> ());
+              let conn = Conn.create peer_fd in
+              Evloop.add st.loop ~read:true (Conn.fd conn);
+              st.inbound <- { conn; peer = ref None; marks = 0 } :: st.inbound
         end
         else
           match
@@ -1001,6 +1006,10 @@ module Make (P : Crdt_proto.Protocol_intf.PROTOCOL) = struct
     | Addr.Unix_sock _ -> ());
     Unix.bind listener (Addr.to_sockaddr cfg.listen);
     Unix.listen listener 64;
+    (* Non-blocking, so a readiness report with nothing left to accept
+       costs one EAGAIN instead of parking the loop in accept(2) for
+       good. *)
+    Unix.set_nonblock listener;
     let loop = Evloop_epoll.loop cfg.evloop in
     Evloop.add loop ~read:true listener;
     (* The codec fan-out pool lives exactly as long as the serve loop;

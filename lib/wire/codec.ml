@@ -311,10 +311,25 @@ let encode_to_string c x =
   encode_into buf c x;
   Buffer.contents buf
 
-let encoded_size c x =
-  let buf = Buffer.create 64 in
+(* A per-domain scratch buffer for callers that only read the encoding
+   back ([encoded_size] here, the digest hash in lib/digest), so sizing
+   or hashing a value allocates nothing once the buffer has grown.  Not
+   re-entrant: the buffer is cleared on entry, so a codec [write] must
+   never call [encoded_size] or the hash — none does.  A buffer grown
+   past [scratch_keep] bytes is shrunk back afterwards, so one large
+   value does not stay pinned per domain. *)
+let scratch_keep = 1 lsl 16
+let scratch_key = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+let with_scratch c x f =
+  let buf = Domain.DLS.get scratch_key in
+  Buffer.clear buf;
   c.write buf x;
-  Buffer.length buf
+  let r = f buf in
+  if Buffer.length buf > scratch_keep then Buffer.reset buf;
+  r
+
+let encoded_size c x = with_scratch c x Buffer.length
 
 (** Decode a complete value from [s]; trailing bytes are an error (a
     frame carries exactly one value). *)

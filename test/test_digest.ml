@@ -77,6 +77,100 @@ let hash_tests =
           (fold base (gone @ add)));
   ]
 
+(* [Hash.of_value] and [Codec.encoded_size] encode into a reused
+   per-domain scratch buffer instead of a fresh string.  Pin that the
+   keys and sizes stay bit-identical to hashing and measuring the
+   encoded string, on values shaped like the law suites' (and on every
+   irreducible of their decompositions, which is what the digest
+   protocols hash), across a scratch buffer that grew past its keep
+   size, and from two domains at once. *)
+module Scratch_check (L : Lattice_intf.DECOMPOSABLE) = struct
+  let ok x =
+    let s = Codec.encode_to_string L.codec x in
+    Hash.of_value L.codec x = Hash.of_string s
+    && Codec.encoded_size L.codec x = String.length s
+
+  let prop x = ok x && List.for_all ok (L.decompose x)
+end
+
+let replica = QCheck.Gen.map Replica_id.of_int (QCheck.Gen.int_bound 4)
+
+let gcounter_gen =
+  QCheck.Gen.(
+    map Gcounter.of_list (small_list (pair replica (int_range 1 10))))
+
+module Deep =
+  Map_lattice.Make (Gmap.Int_key) (Product.Make (Gcounter) (Gset.Of_int))
+
+let scratch_cases =
+  let open QCheck.Gen in
+  let case (type a) name (module L : Lattice_intf.DECOMPOSABLE with type t = a)
+      (gen : a QCheck.Gen.t) =
+    let module C = Scratch_check (L) in
+    qtest
+      (QCheck.Test.make ~count:200 ~name:("scratch hash = string hash: " ^ name)
+         (QCheck.make ~print:(Format.asprintf "%a" L.pp) gen)
+         C.prop)
+  in
+  [
+    case "GSet<int>" (module Gset.Of_int)
+      (map Gset.Of_int.of_list (small_list (int_bound 30)));
+    case "GCounter" (module Gcounter) gcounter_gen;
+    case "PNCounter" (module Pncounter)
+      (map Pncounter.of_list
+         (small_list (pair replica (pair (int_bound 9) (int_bound 9)))));
+    case "GMap<int, version>" (module Gmap.Versioned)
+      (map Gmap.Versioned.of_list
+         (small_list (pair (int_bound 50) (int_range 1 9))));
+    case "Map<int, GCounter × GSet>" (module Deep)
+      (map Deep.of_list
+         (small_list
+            (pair (int_bound 3)
+               (pair gcounter_gen
+                  (map Gset.Of_int.of_list (small_list (int_bound 15)))))));
+    case "AW OR-Set" (module Aw_set.Of_string)
+      (map
+         (fun ops ->
+           List.fold_left
+             (fun x (i, e) -> Aw_set.Of_string.mutate (Aw_set.Of_string.Add e) i x)
+             Aw_set.Of_string.bottom ops)
+         (small_list (pair replica (map (String.make 1) (char_range 'a' 'd')))));
+  ]
+
+let scratch_tests =
+  scratch_cases
+  @ [
+      Alcotest.test_case "scratch buffer past its keep size" `Quick (fun () ->
+          (* 20k-key maps encode to well over 64 KiB: the buffer grows,
+             is shrunk back afterwards, and small values still hash
+             right after it. *)
+          let module G = Gmap.Versioned in
+          let big = G.of_list (List.init 20_000 (fun i -> (i, 1 + (i mod 7)))) in
+          let small = G.of_list [ (3, 4) ] in
+          List.iter
+            (fun x ->
+              let s = Codec.encode_to_string G.codec x in
+              check_int "hash" (Hash.of_string s) (Hash.of_value G.codec x);
+              check_int "size" (String.length s) (Codec.encoded_size G.codec x))
+            [ small; big; small; big; small ]);
+      Alcotest.test_case "two domains hash at once" `Quick (fun () ->
+          let module G = Gmap.Versioned in
+          let values =
+            List.init 200 (fun n ->
+                G.of_list (List.init (n mod 40) (fun i -> (i, n + i + 1))))
+          in
+          let expected =
+            List.map
+              (fun x -> Hash.of_string (Codec.encode_to_string G.codec x))
+              values
+          in
+          let run () = List.map (Hash.of_value G.codec) values in
+          let d = Domain.spawn run in
+          let here = run () in
+          check "this domain" true (here = expected);
+          check "other domain" true (Domain.join d = expected));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Bloom                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -285,6 +379,7 @@ let () =
   Alcotest.run "digest"
     [
       ("hash", hash_tests);
+      ("scratch hash", scratch_tests);
       ("bloom", bloom_tests);
       ("iblt", iblt_tests);
       ("merkle byte-compat", merkle_compat_tests);
